@@ -20,8 +20,9 @@ dune exec bench/main.exe -- --quick
 # Fleet smoke (DESIGN.md §6a): fan-out throughput over a small worker
 # sweep — each count measured on the single-step interpreter and through
 # the decoded-block code cache — plus the per-wave rollout pause, written
-# to BENCH_fleet.json. The harness hard-fails if the cached/interp
-# speedup at w1 drops below 5x (code-cache regression gate).
+# to BENCH_fleet.json. The harness hard-fails if the two engines differ
+# in served requests or cycles at any count, or if cached words per
+# guest instruction at w1 exceed 0.35x the interpreter's (DESIGN.md §7a).
 echo "== bench --quick fleet =="
 dune exec bench/main.exe -- --quick fleet
 

@@ -13,10 +13,18 @@ type t = {
   c_blocks : (int64, Block.t) Hashtbl.t;  (** entry vaddr -> live block *)
   c_by_page : (int64, Block.t list ref) Hashtbl.t;
       (** page index -> blocks whose encoding overlaps the page *)
+  mutable c_resume : (Block.t * int * int64) option;
+      (** block, slot and rip where the last dispatch stopped mid-block;
+          the next one continues there rather than decode a new block *)
 }
 
 let create (p : Proc.t) =
-  { c_proc = p; c_blocks = Hashtbl.create 256; c_by_page = Hashtbl.create 64 }
+  {
+    c_proc = p;
+    c_blocks = Hashtbl.create 256;
+    c_by_page = Hashtbl.create 64;
+    c_resume = None;
+  }
 
 let find c rip =
   match Hashtbl.find_opt c.c_blocks rip with

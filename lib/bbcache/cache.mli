@@ -7,6 +7,8 @@ type t = {
   c_proc : Proc.t;
   c_blocks : (int64, Block.t) Hashtbl.t;
   c_by_page : (int64, Block.t list ref) Hashtbl.t;
+  mutable c_resume : (Block.t * int * int64) option;
+      (** block, slot and rip where the last dispatch stopped mid-block *)
 }
 
 val create : Proc.t -> t

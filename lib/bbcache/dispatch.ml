@@ -4,17 +4,16 @@
     then hands each runnable process to {!exec}, which chains cached
     blocks — fall-through and taken edges alike — into superblocks until
     a trap, blocked syscall, signal, cache miss on an undecodable entry
-    (int3), pending invalidation, or fuel exhaustion breaks the chain.
-    Block transitions whose predecessor carries a direct link cost no
-    dispatch at all; an unlinked transition pays one virtual cycle for
-    the table lookup. Executed instructions cost 1/32 cycle each (decode
-    was paid once, at block build), which is what moves the virtual
-    req/mcycle metric, not just host time.
+    (int3), or the end of its fuel breaks the chain.
 
-    The coverage tracer needs no separate instrumentation mode:
-    {!Machine.exec_decoded} performs the same block bookkeeping as the
-    interpreter, so each cached block entry/exit emits the identical
-    [trace] hook events and drcov output is byte-for-byte the same.
+    The cache makes the interpreter faster, not a machine of its own:
+    every slot retires through {!Machine.exec_decoded} at one virtual
+    cycle, so hooks, counters, drcov output and the clock are the
+    interpreter's. The chain stops before any instruction once the clock
+    reaches the call's limit, mid-block if need be, and leaves a resume
+    point for the next call. A store that dirties executable memory also
+    ends the block, so the next instruction is decoded from the new
+    bytes, as single-stepping would see them.
 
     Fidelity rules: a machine with an [on_insn] hook (the dataflow
     slicer) never reaches this code — the scheduler checks the hook
@@ -58,11 +57,6 @@ let cache_for d (p : Proc.t) =
       Hashtbl.replace d.d_caches p.Proc.pid c;
       c
 
-(* one virtual cycle per unlinked dispatch: the hash lookup is the
-   "indirect branch" of the direct-threaded loop *)
-let charge_lookup (m : Machine.t) =
-  m.Machine.clock <- Int64.add m.Machine.clock 1L
-
 let lookup_linked prev rip =
   match prev with
   | None -> None
@@ -84,31 +78,37 @@ let link prev b =
       pb.Block.b_s2 <- pb.Block.b_s1;
       pb.Block.b_s1 <- Some b
 
-(** Run one block; returns instructions executed. Execution leaves the
-    block early when a slot diverges from fall-through (taken trap or
-    signal, blocked syscall, exit) — detected by comparing rip against
-    the statically known next address, never by re-reading memory. *)
-let exec_block m (p : Proc.t) (b : Block.t) =
+(** Run block [b] from slot [first]; returns instructions executed.
+    Execution leaves the block early when a slot diverges from
+    fall-through (taken trap or signal, blocked syscall, exit) — detected
+    by comparing rip against the statically known next address, never by
+    re-reading memory — or when it dirtied executable memory. Reaching
+    [limit] mid-block records the resume point. *)
+let exec_block m (c : Cache.t) (p : Proc.t) (b : Block.t) first ~limit =
   let slots = b.Block.b_slots in
-  let n = Array.length slots in
-  let executed = ref 0 in
-  let i = ref 0 in
+  let regs = p.Proc.regs in
+  let i = ref first in
   let continue_ = ref true in
-  while !continue_ && !i < n do
+  while !continue_ do
     let s = slots.(!i) in
-    let rip = p.Proc.regs.Proc.rip in
-    Machine.exec_decoded m p s.Block.s_insn s.Block.s_len ~cached:true;
-    incr executed;
-    if
-      p.Proc.state <> Proc.Runnable
-      || p.Proc.frozen
-      || p.Proc.regs.Proc.rip <> Int64.add rip (Int64.of_int s.Block.s_len)
-    then continue_ := false
-    else incr i
+    let next = Int64.add regs.Proc.rip (Int64.of_int s.Block.s_len) in
+    Machine.exec_decoded m p s.Block.s_insn s.Block.s_len;
+    incr i;
+    continue_ :=
+      !i < Array.length slots
+      && Proc.can_run p
+      && Int64.equal regs.Proc.rip next
+      && not (Mem.exec_dirty_pending p.Proc.mem);
+    if !continue_ && m.Machine.clock >= limit then begin
+      c.Cache.c_resume <- Some (b, !i, regs.Proc.rip);
+      continue_ := false
+    end
   done;
-  !executed
+  !i - first
 
 let exec d (p : Proc.t) ~fuel =
+  let m = d.d_machine in
+  let limit = Int64.add m.Machine.clock (Int64.of_int fuel) in
   if d.d_degraded then 0
   else
     match
@@ -116,60 +116,64 @@ let exec d (p : Proc.t) ~fuel =
     with
     | exception Fault.Injected _ -> 0 (* this quantum interprets instead *)
     | () ->
-        let m = d.d_machine in
         let cache = cache_for d p in
         let mem = p.Proc.mem in
+        let resume = ref cache.Cache.c_resume in
+        cache.Cache.c_resume <- None;
         let executed = ref 0 in
         let chained = ref 0 in
         let prev = ref None in
         (try
            let continue_ = ref true in
-           while !continue_ do
-             if
-               p.Proc.state <> Proc.Runnable
-               || p.Proc.frozen
-               || !executed >= fuel
-             then continue_ := false
-             else begin
-               (match Invalidate.drain cache with
-               | 0 -> ()
-               | k ->
-                   d.d_flushes <- d.d_flushes + k;
-                   Obs.add d.obs_flushes k;
-                   (* links into evicted blocks are dead; re-dispatch *)
-                   prev := None);
-               let rip = p.Proc.regs.Proc.rip in
-               let blk =
-                 match lookup_linked !prev rip with
-                 | Some b ->
-                     d.d_hits <- d.d_hits + 1;
-                     Obs.incr d.obs_hits;
-                     Some b
-                 | None -> (
-                     charge_lookup m;
-                     match Cache.find cache rip with
-                     | Some b ->
-                         d.d_hits <- d.d_hits + 1;
-                         Obs.incr d.obs_hits;
-                         link !prev b;
-                         Some b
-                     | None -> (
-                         match Block.decode mem rip with
-                         | None -> None (* int3/fault entry: interpreter *)
-                         | Some b ->
-                             d.d_decodes <- d.d_decodes + 1;
-                             Obs.incr d.obs_decodes;
-                             Cache.insert cache b;
-                             link !prev b;
-                             Some b))
-               in
-               match blk with
-               | None -> continue_ := false
-               | Some b ->
-                   incr chained;
-                   executed := !executed + exec_block m p b;
-                   prev := Some b
-             end
+           while !continue_ && Proc.can_run p && m.Machine.clock < limit do
+             (match Invalidate.drain cache with
+             | 0 -> ()
+             | k ->
+                 d.d_flushes <- d.d_flushes + k;
+                 Obs.add d.obs_flushes k;
+                 (* links into evicted blocks are dead; re-dispatch *)
+                 prev := None);
+             let rip = p.Proc.regs.Proc.rip in
+             let first = ref 0 in
+             let hit =
+               match !resume with
+               | Some (b, i, at) when Int64.equal at rip && not b.Block.b_dead
+                 ->
+                   first := i;
+                   Some b
+               | _ -> (
+                   match lookup_linked !prev rip with
+                   | Some _ as linked -> linked
+                   | None -> (
+                       match Cache.find cache rip with
+                       | Some b as found ->
+                           link !prev b;
+                           found
+                       | None -> None))
+             in
+             resume := None;
+             let blk =
+               match hit with
+               | Some _ ->
+                   d.d_hits <- d.d_hits + 1;
+                   Obs.incr d.obs_hits;
+                   hit
+               | None -> (
+                   match Block.decode mem rip with
+                   | None -> None (* int3/fault entry: interpreter *)
+                   | Some b ->
+                       d.d_decodes <- d.d_decodes + 1;
+                       Obs.incr d.obs_decodes;
+                       Cache.insert cache b;
+                       link !prev b;
+                       Some b)
+             in
+             match blk with
+             | None -> continue_ := false
+             | Some b ->
+                 incr chained;
+                 executed := !executed + exec_block m cache p b !first ~limit;
+                 prev := Some b
            done
          with Fault.Injected _ ->
            (* the flush machinery failed mid-drain: never risk a stale

@@ -14,16 +14,12 @@ type stats = {
 
 val enable : Machine.t -> t
 (** Install cached execution on the machine and register the
-    [bbcache.*] observability counters. Interpreted semantics are
-    preserved exactly (same hooks, counters, signals); only the cycle
-    cost model changes. *)
+    [bbcache.*] observability counters. The machine stays the same one:
+    same clock, hooks, counters and signals, and the same instructions
+    retired by every {!Machine.run} call; only host work changes. *)
 
 val disable : t -> unit
 (** Uninstall and drop every cache; the machine single-steps again. *)
-
-val exec : t -> Proc.t -> fuel:int -> int
-(** The installed hook: run up to [fuel] instructions out of the cache;
-    0 means "fall back to one interpreter step". *)
 
 val flush_all : t -> unit
 (** Explicit whole-cache nudge across every pid (fires

@@ -7,9 +7,10 @@
     integrity scrubber's repairs, seeded bit flips, and any guest store
     that lands on an executable page — marks the page index in
     [Mem.exec_dirty]. The dispatcher drains that set before running
-    another cached block, so a modification is visible at the next block
-    boundary: exactly the DBI contract (DynamoRIO flushes the fragments
-    overlapping a modified page and re-builds from current bytes).
+    another cached block, and a guest store that dirties the set ends
+    the running block, so the next instruction always comes from current
+    bytes (DynamoRIO likewise flushes the fragments overlapping a
+    modified page and re-builds them).
 
     Restore and respawn need no draining at all: they build a fresh
     [Proc.t], which the dispatcher detects by physical equality and

@@ -1,6 +1,6 @@
 (** The virtual machine: processes, CPU interpreter, signal delivery,
     syscall dispatch, round-robin scheduler, and a deterministic virtual
-    clock (1 cycle per retired instruction).
+    clock (1 cycle per retired instruction, whichever engine retires it).
 
     This plays the role of the Linux kernel + CPU in the paper's setup and
     is part of the trusted computing base its threat model assumes (§2). *)
@@ -41,15 +41,8 @@ type t = {
   obs_steps : Obs.counter;  (** cached registry handles: the interpreter *)
   obs_traps : Obs.counter;  (** bumps these once per event, so the lookup *)
   obs_syscalls : Obs.counter;  (** cost is paid at [create], not per insn *)
-  mutable cycle_frac : int;
-      (** sub-cycle accumulator for cached execution: pre-decoded
-          instructions cost 1/32 cycle each, carried into [clock] *)
   mutable exec_cached : (Proc.t -> fuel:int -> int) option;
-      (** installed by the decoded-block code cache ([Bbcache.enable]):
-          run [p] for up to [fuel] instructions out of the cache,
-          returning the number executed (0 = fall back to single-step).
-          The scheduler only consults it while no [on_insn] hook is
-          installed — per-instruction fidelity (the slicer) always wins *)
+      (** the decoded-block code cache's hook; contract in the interface *)
 }
 
 (* Flip one seeded bit in a resident page of an immutable (non-writable)
@@ -117,7 +110,6 @@ let create ?(seed = 42) () =
       obs_steps = Obs.counter "machine.steps";
       obs_traps = Obs.counter "machine.traps";
       obs_syscalls = Obs.counter "machine.syscalls";
-      cycle_frac = 0;
       exec_cached = None;
     }
   in
@@ -522,192 +514,155 @@ let set_test_flags (regs : Proc.regs) a b =
   regs.Proc.cf <- false;
   regs.Proc.of_ <- false
 
-(** Execute one already-decoded instruction of [p] (anything but [Int3],
-    which never enters the code cache); assumes [p] runnable. [cached]
-    selects the cost model only: interpreted instructions cost one cycle,
-    pre-decoded ones 1/32 (decode was paid once, when the block was
-    built). Every other effect — block bookkeeping, trace/insn hooks,
-    [Obs] counters, signal delivery — is identical in both modes, which
-    is what keeps cached runs replay-exact against interpreted ones. *)
-let exec_decoded t (p : Proc.t) insn len ~cached =
+(** Leave the open block and transfer control (taken branch, call, ret). *)
+let goto t (p : Proc.t) ~next target =
+  end_block t p ~next;
+  p.Proc.regs.Proc.rip <- target
+
+(** Write [v] to register [d] and fall through. *)
+let set_next (regs : Proc.regs) d v ~next =
+  Proc.set regs d v;
+  regs.Proc.rip <- next
+
+(** Execute one already-decoded instruction of [p]; see the interface.
+    The one place either engine retires an instruction. *)
+let exec_decoded t (p : Proc.t) insn len =
   let regs = p.Proc.regs in
   let rip = regs.Proc.rip in
   let mem = p.Proc.mem in
-  (
-      if p.Proc.block_start = None then p.Proc.block_start <- Some rip;
-      (match t.on_insn with Some hook -> hook p insn | None -> ());
-      let next = Int64.add rip (Int64.of_int len) in
-      (if cached then begin
-         t.cycle_frac <- t.cycle_frac + 1;
-         if t.cycle_frac >= 32 then begin
-           t.cycle_frac <- 0;
-           t.clock <- Int64.add t.clock 1L
-         end
-       end
-       else t.clock <- Int64.add t.clock 1L);
-      p.Proc.retired <- Int64.add p.Proc.retired 1L;
-      Obs.incr t.obs_steps;
-      let g r = Proc.get regs r and s r v = Proc.set regs r v in
-      let goto target =
+  (match p.Proc.block_start with
+  | None -> p.Proc.block_start <- Some rip
+  | Some _ -> ());
+  (match t.on_insn with Some hook -> hook p insn | None -> ());
+  let next = Int64.add rip (Int64.of_int len) in
+  t.clock <- Int64.add t.clock 1L;
+  p.Proc.retired <- p.Proc.retired + 1;
+  Obs.incr t.obs_steps;
+  try
+    match insn with
+    | Insn.Nop -> regs.Proc.rip <- next
+    | Insn.Hlt ->
         end_block t p ~next;
-        regs.Proc.rip <- target
-      in
-      let fallthrough () = regs.Proc.rip <- next in
-      try
-        match insn with
-        | Insn.Nop -> fallthrough ()
-        | Insn.Hlt -> (
-            end_block t p ~next;
-            p.Proc.state <- Proc.Killed Abi.sigill)
-        | Insn.Int3 -> assert false (* handled above *)
-        | Insn.Mov_rr (d, src) ->
-            s d (g src);
-            fallthrough ()
-        | Insn.Mov_ri (d, imm) ->
-            s d imm;
-            fallthrough ()
-        | Insn.Load (d, b, off) ->
-            s d (Mem.read64 mem (Int64.add (g b) (Int64.of_int off)));
-            fallthrough ()
-        | Insn.Store (b, off, src) ->
-            Mem.write64 mem (Int64.add (g b) (Int64.of_int off)) (g src);
-            fallthrough ()
-        | Insn.Load8 (d, b, off) ->
-            s d (Int64.of_int (Mem.read8 mem (Int64.add (g b) (Int64.of_int off))));
-            fallthrough ()
-        | Insn.Store8 (b, off, src) ->
-            Mem.write8 mem
-              (Int64.add (g b) (Int64.of_int off))
-              (Int64.to_int (Int64.logand (g src) 0xffL));
-            fallthrough ()
-        | Insn.Add_rr (d, src) ->
-            s d (Int64.add (g d) (g src));
-            fallthrough ()
-        | Insn.Add_ri (d, v) ->
-            s d (Int64.add (g d) (Int64.of_int v));
-            fallthrough ()
-        | Insn.Sub_rr (d, src) ->
-            s d (Int64.sub (g d) (g src));
-            fallthrough ()
-        | Insn.Sub_ri (d, v) ->
-            s d (Int64.sub (g d) (Int64.of_int v));
-            fallthrough ()
-        | Insn.Imul_rr (d, src) ->
-            s d (Int64.mul (g d) (g src));
-            fallthrough ()
-        | Insn.Idiv_rr (d, src) ->
-            if g src = 0L then (
-              end_block t p ~next;
-              deliver_signal t p ~signum:Abi.sigfpe ~at:rip)
-            else begin
-              s d (Int64.div (g d) (g src));
-              fallthrough ()
-            end
-        | Insn.Imod_rr (d, src) ->
-            if g src = 0L then (
-              end_block t p ~next;
-              deliver_signal t p ~signum:Abi.sigfpe ~at:rip)
-            else begin
-              s d (Int64.rem (g d) (g src));
-              fallthrough ()
-            end
-        | Insn.And_rr (d, src) ->
-            s d (Int64.logand (g d) (g src));
-            fallthrough ()
-        | Insn.Or_rr (d, src) ->
-            s d (Int64.logor (g d) (g src));
-            fallthrough ()
-        | Insn.Xor_rr (d, src) ->
-            s d (Int64.logxor (g d) (g src));
-            fallthrough ()
-        | Insn.Shl_ri (d, n) ->
-            s d (Int64.shift_left (g d) n);
-            fallthrough ()
-        | Insn.Shr_ri (d, n) ->
-            s d (Int64.shift_right_logical (g d) n);
-            fallthrough ()
-        | Insn.Sar_ri (d, n) ->
-            s d (Int64.shift_right (g d) n);
-            fallthrough ()
-        | Insn.Shl_rr (d, src) ->
-            s d (Int64.shift_left (g d) (Int64.to_int (g src) land 63));
-            fallthrough ()
-        | Insn.Shr_rr (d, src) ->
-            s d (Int64.shift_right_logical (g d) (Int64.to_int (g src) land 63));
-            fallthrough ()
-        | Insn.Neg d ->
-            s d (Int64.neg (g d));
-            fallthrough ()
-        | Insn.Not d ->
-            s d (Int64.lognot (g d));
-            fallthrough ()
-        | Insn.Cmp_rr (a, b) ->
-            set_cmp_flags regs (g a) (g b);
-            fallthrough ()
-        | Insn.Cmp_ri (a, v) ->
-            set_cmp_flags regs (g a) (Int64.of_int v);
-            fallthrough ()
-        | Insn.Test_rr (a, b) ->
-            set_test_flags regs (g a) (g b);
-            fallthrough ()
-        | Insn.Jmp rel -> goto (Int64.add next (Int64.of_int rel))
-        | Insn.Jcc (c, rel) ->
-            if cond_true regs c then goto (Int64.add next (Int64.of_int rel))
-            else begin
-              (* conditional not taken still ends the block (drcov-style) *)
-              end_block t p ~next;
-              fallthrough ()
-            end
-        | Insn.Call rel ->
-            let rsp = Int64.sub (g Reg.Rsp) 8L in
-            Mem.write64 mem rsp next;
-            s Reg.Rsp rsp;
-            goto (Int64.add next (Int64.of_int rel))
-        | Insn.Call_r r ->
-            let target = g r in
-            let rsp = Int64.sub (g Reg.Rsp) 8L in
-            Mem.write64 mem rsp next;
-            s Reg.Rsp rsp;
-            goto target
-        | Insn.Jmp_r r -> goto (g r)
-        | Insn.Ret ->
-            let rsp = g Reg.Rsp in
-            let target = Mem.read64 mem rsp in
-            s Reg.Rsp (Int64.add rsp 8L);
-            goto target
-        | Insn.Push r ->
-            let rsp = Int64.sub (g Reg.Rsp) 8L in
-            Mem.write64 mem rsp (g r);
-            s Reg.Rsp rsp;
-            fallthrough ()
-        | Insn.Pop r ->
-            let rsp = g Reg.Rsp in
-            s r (Mem.read64 mem rsp);
-            s Reg.Rsp (Int64.add rsp 8L);
-            fallthrough ()
-        | Insn.Lea (d, off) ->
-            s d (Int64.add next (Int64.of_int off));
-            fallthrough ()
-        | Insn.Syscall -> (
-            end_block t p ~next;
-            t.clock <- Int64.add t.clock (Int64.of_int t.syscall_cost);
-            match do_syscall t p with
-            | exception Seccomp_denied ->
-                deliver_signal t p ~signum:Abi.sigsys ~at:rip
-            | Ret v ->
-                s Reg.Rax v;
-                fallthrough ()
-            | Block_retry reason ->
-                (* rip stays at the syscall: it re-executes on wake *)
-                p.Proc.state <- Proc.Blocked reason
-            | Block_after reason ->
-                s Reg.Rax 0L;
-                fallthrough ();
-                p.Proc.state <- Proc.Blocked reason
-            | Terminate st ->
-                p.Proc.state <- st
-            | Sigret -> ())
-      with Mem.Fault (_, _) -> deliver_signal t p ~signum:Abi.sigsegv ~at:rip)
+        p.Proc.state <- Proc.Killed Abi.sigill
+    | Insn.Int3 -> assert false (* handled by [step_insn] *)
+    | Insn.Mov_rr (d, src) -> set_next regs d (Proc.get regs src) ~next
+    | Insn.Mov_ri (d, imm) -> set_next regs d imm ~next
+    | Insn.Load (d, b, off) ->
+        let a = Int64.add (Proc.get regs b) (Int64.of_int off) in
+        set_next regs d (Mem.read64 mem a) ~next
+    | Insn.Store (b, off, src) ->
+        let a = Int64.add (Proc.get regs b) (Int64.of_int off) in
+        Mem.write64 mem a (Proc.get regs src);
+        regs.Proc.rip <- next
+    | Insn.Load8 (d, b, off) ->
+        let a = Int64.add (Proc.get regs b) (Int64.of_int off) in
+        set_next regs d (Int64.of_int (Mem.read8 mem a)) ~next
+    | Insn.Store8 (b, off, src) ->
+        let a = Int64.add (Proc.get regs b) (Int64.of_int off) in
+        Mem.write8 mem a (Int64.to_int (Int64.logand (Proc.get regs src) 0xffL));
+        regs.Proc.rip <- next
+    | Insn.Add_rr (d, src) ->
+        set_next regs d (Int64.add (Proc.get regs d) (Proc.get regs src)) ~next
+    | Insn.Add_ri (d, v) ->
+        set_next regs d (Int64.add (Proc.get regs d) (Int64.of_int v)) ~next
+    | Insn.Sub_rr (d, src) ->
+        set_next regs d (Int64.sub (Proc.get regs d) (Proc.get regs src)) ~next
+    | Insn.Sub_ri (d, v) ->
+        set_next regs d (Int64.sub (Proc.get regs d) (Int64.of_int v)) ~next
+    | Insn.Imul_rr (d, src) ->
+        set_next regs d (Int64.mul (Proc.get regs d) (Proc.get regs src)) ~next
+    | (Insn.Idiv_rr (_, src) | Insn.Imod_rr (_, src))
+      when Int64.equal (Proc.get regs src) 0L ->
+        end_block t p ~next;
+        deliver_signal t p ~signum:Abi.sigfpe ~at:rip
+    | Insn.Idiv_rr (d, src) ->
+        set_next regs d (Int64.div (Proc.get regs d) (Proc.get regs src)) ~next
+    | Insn.Imod_rr (d, src) ->
+        set_next regs d (Int64.rem (Proc.get regs d) (Proc.get regs src)) ~next
+    | Insn.And_rr (d, src) ->
+        set_next regs d (Int64.logand (Proc.get regs d) (Proc.get regs src)) ~next
+    | Insn.Or_rr (d, src) ->
+        set_next regs d (Int64.logor (Proc.get regs d) (Proc.get regs src)) ~next
+    | Insn.Xor_rr (d, src) ->
+        set_next regs d (Int64.logxor (Proc.get regs d) (Proc.get regs src)) ~next
+    | Insn.Shl_ri (d, n) ->
+        set_next regs d (Int64.shift_left (Proc.get regs d) n) ~next
+    | Insn.Shr_ri (d, n) ->
+        set_next regs d (Int64.shift_right_logical (Proc.get regs d) n) ~next
+    | Insn.Sar_ri (d, n) ->
+        set_next regs d (Int64.shift_right (Proc.get regs d) n) ~next
+    | Insn.Shl_rr (d, src) ->
+        let n = Int64.to_int (Proc.get regs src) land 63 in
+        set_next regs d (Int64.shift_left (Proc.get regs d) n) ~next
+    | Insn.Shr_rr (d, src) ->
+        let n = Int64.to_int (Proc.get regs src) land 63 in
+        set_next regs d (Int64.shift_right_logical (Proc.get regs d) n) ~next
+    | Insn.Neg d -> set_next regs d (Int64.neg (Proc.get regs d)) ~next
+    | Insn.Not d -> set_next regs d (Int64.lognot (Proc.get regs d)) ~next
+    | Insn.Cmp_rr (a, b) ->
+        set_cmp_flags regs (Proc.get regs a) (Proc.get regs b);
+        regs.Proc.rip <- next
+    | Insn.Cmp_ri (a, v) ->
+        set_cmp_flags regs (Proc.get regs a) (Int64.of_int v);
+        regs.Proc.rip <- next
+    | Insn.Test_rr (a, b) ->
+        set_test_flags regs (Proc.get regs a) (Proc.get regs b);
+        regs.Proc.rip <- next
+    | Insn.Jmp rel -> goto t p ~next (Int64.add next (Int64.of_int rel))
+    | Insn.Jcc (c, rel) ->
+        if cond_true regs c then
+          goto t p ~next (Int64.add next (Int64.of_int rel))
+        else begin
+          (* conditional not taken still ends the block (drcov-style) *)
+          end_block t p ~next;
+          regs.Proc.rip <- next
+        end
+    | Insn.Call rel ->
+        let rsp = Int64.sub (Proc.get regs Reg.Rsp) 8L in
+        Mem.write64 mem rsp next;
+        Proc.set regs Reg.Rsp rsp;
+        goto t p ~next (Int64.add next (Int64.of_int rel))
+    | Insn.Call_r r ->
+        let target = Proc.get regs r in
+        let rsp = Int64.sub (Proc.get regs Reg.Rsp) 8L in
+        Mem.write64 mem rsp next;
+        Proc.set regs Reg.Rsp rsp;
+        goto t p ~next target
+    | Insn.Jmp_r r -> goto t p ~next (Proc.get regs r)
+    | Insn.Ret ->
+        let rsp = Proc.get regs Reg.Rsp in
+        let target = Mem.read64 mem rsp in
+        Proc.set regs Reg.Rsp (Int64.add rsp 8L);
+        goto t p ~next target
+    | Insn.Push r ->
+        let rsp = Int64.sub (Proc.get regs Reg.Rsp) 8L in
+        Mem.write64 mem rsp (Proc.get regs r);
+        Proc.set regs Reg.Rsp rsp;
+        regs.Proc.rip <- next
+    | Insn.Pop r ->
+        let rsp = Proc.get regs Reg.Rsp in
+        Proc.set regs r (Mem.read64 mem rsp);
+        Proc.set regs Reg.Rsp (Int64.add rsp 8L);
+        regs.Proc.rip <- next
+    | Insn.Lea (d, off) ->
+        set_next regs d (Int64.add next (Int64.of_int off)) ~next
+    | Insn.Syscall -> (
+        end_block t p ~next;
+        t.clock <- Int64.add t.clock (Int64.of_int t.syscall_cost);
+        match do_syscall t p with
+        | exception Seccomp_denied ->
+            deliver_signal t p ~signum:Abi.sigsys ~at:rip
+        | Ret v -> set_next regs Reg.Rax v ~next
+        | Block_retry reason ->
+            (* rip stays at the syscall: it re-executes on wake *)
+            p.Proc.state <- Proc.Blocked reason
+        | Block_after reason ->
+            Proc.set regs Reg.Rax 0L;
+            regs.Proc.rip <- next;
+            p.Proc.state <- Proc.Blocked reason
+        | Terminate st -> p.Proc.state <- st
+        | Sigret -> ())
+  with Mem.Fault (_, _) -> deliver_signal t p ~signum:Abi.sigsegv ~at:rip
 
 (** Execute exactly one instruction of [p]; assumes [p] runnable. *)
 let step_insn t (p : Proc.t) =
@@ -716,8 +671,7 @@ let step_insn t (p : Proc.t) =
   match
     Decode.decode (fun i -> Mem.fetch8 mem (Int64.add rip (Int64.of_int i)))
   with
-  | exception Mem.Fault (a, _) ->
-      ignore a;
+  | exception Mem.Fault _ ->
       deliver_signal t p ~signum:Abi.sigsegv ~at:rip
   | exception Decode.Invalid_opcode _ ->
       deliver_signal t p ~signum:Abi.sigill ~at:rip
@@ -735,7 +689,7 @@ let step_insn t (p : Proc.t) =
           (Printf.sprintf "pid=%d comm=%s rip=0x%Lx" p.Proc.pid p.Proc.comm rip)
       end;
       deliver_signal t p ~signum:Abi.sigtrap ~at:rip
-  | insn, len -> exec_decoded t p insn len ~cached:false
+  | insn, len -> exec_decoded t p insn len
 
 let step t (p : Proc.t) =
   step_insn t p;
@@ -766,10 +720,7 @@ let wake_check t (p : Proc.t) =
       | _ -> p.Proc.state <- Proc.Runnable)
   | _ -> ()
 
-let runnable t =
-  List.filter
-    (fun p -> (not p.Proc.frozen) && p.Proc.state = Proc.Runnable)
-    (live_procs t)
+let runnable t = List.filter Proc.can_run (live_procs t)
 
 let quantum = 256
 
@@ -806,26 +757,28 @@ let run t ~max_cycles =
           List.iter
             (fun p ->
               let budget = ref quantum in
-              while
-                !budget > 0 && p.Proc.state = Proc.Runnable && (not p.Proc.frozen)
-                && t.clock < deadline
-              do
-                match t.exec_cached with
-                | Some exec when t.on_insn = None -> (
-                    (* decoded-block dispatch; per-insn hooks (the slicer)
-                       force the single-step interpreter *)
-                    match exec p ~fuel:!budget with
-                    | 0 ->
-                        (* cache declined (int3 at rip, fault, injected
-                           dispatch fault): single-step this one *)
-                        step t p;
-                        decr budget
-                    | n ->
-                        budget := !budget - n;
-                        notify_exit t p)
-                | _ ->
-                    step t p;
-                    decr budget
+              while !budget > 0 && Proc.can_run p && t.clock < deadline do
+                (* the code cache gets the smaller of the quantum's
+                   instructions and the cycles left, so it stops exactly
+                   where single-stepping would; per-insn hooks (the
+                   slicer) force the interpreter *)
+                let n =
+                  match (t.exec_cached, t.on_insn) with
+                  | Some exec, None ->
+                      let left = Int64.to_int (Int64.sub deadline t.clock) in
+                      exec p ~fuel:(if !budget < left then !budget else left)
+                  | _ -> 0
+                in
+                if n = 0 then begin
+                  (* no cache, or it declined (int3 at rip, fault,
+                     injected dispatch fault): single-step this one *)
+                  step t p;
+                  decr budget
+                end
+                else begin
+                  budget := !budget - n;
+                  notify_exit t p
+                end
               done)
             rs;
           loop ()

@@ -1,6 +1,6 @@
 (** The virtual machine: processes, CPU interpreter, signal delivery,
     syscall dispatch, round-robin scheduler, deterministic virtual clock
-    (1 cycle per retired instruction). Plays the role of Linux + the CPU
+    (1 cycle per retired instruction, in either engine). Plays the role of Linux + the CPU
     and is part of the paper's trusted computing base (§2). *)
 
 type trace_hook = Proc.t -> int64 -> int -> unit
@@ -39,15 +39,15 @@ type t = {
           per-instruction bump costs a field write, not a name lookup *)
   obs_traps : Obs.counter;
   obs_syscalls : Obs.counter;
-  mutable cycle_frac : int;
-      (** sub-cycle accumulator for cached execution: pre-decoded
-          instructions cost 1/32 cycle each, carried into [clock] *)
   mutable exec_cached : (Proc.t -> fuel:int -> int) option;
       (** installed by the decoded-block code cache ([Bbcache.enable]):
-          run the process for up to [fuel] instructions out of the cache,
-          returning how many executed (0 = fall back to one interpreter
-          step). Consulted by {!run} only while [on_insn] is [None] —
-          per-instruction fidelity (the slicer) always wins. *)
+          run the process out of the cache, retiring no instruction once
+          the clock has advanced [fuel] cycles (so at most [fuel]
+          instructions), and return how many it retired (0 = fall back
+          to one interpreter step). {!run} passes the smaller of the
+          quantum's instructions and the cycles left before its
+          deadline, so a cached run stops exactly where single-stepping
+          would. Consulted only while [on_insn] is [None]. *)
 }
 
 val create : ?seed:int -> unit -> t
@@ -96,15 +96,14 @@ exception Seccomp_denied
 val step : t -> Proc.t -> unit
 (** Execute exactly one instruction (assumes the process is runnable). *)
 
-val exec_decoded : t -> Proc.t -> Insn.t -> int -> cached:bool -> unit
+val exec_decoded : t -> Proc.t -> Insn.t -> int -> unit
 (** Execute one already-decoded instruction (anything but [Int3], which
     never enters the code cache) of byte length [len]; assumes the
-    process is runnable and its rip is the instruction's address.
-    [cached] selects the cost model only — 1 cycle interpreted, 1/32
-    cycle pre-decoded; every other effect (block bookkeeping,
-    trace/insn hooks, [Obs] counters, signal delivery) is identical in
-    both modes, which keeps cached runs replay-exact. The decoded-block
-    cache is the only intended caller with [~cached:true]. *)
+    process is runnable and its rip is the instruction's address. Both
+    engines retire every instruction here: one cycle, one [retired], one
+    [machine.steps], and the same block bookkeeping, trace/insn hooks
+    and signal delivery — so a cached run is the same machine as an
+    interpreted one, observable for observable. *)
 
 val run : t -> max_cycles:int -> [ `Budget | `Dead | `Idle ]
 (** Round-robin scheduling until the budget runs out ([`Budget]), every

@@ -68,7 +68,7 @@ type t = {
   mutable mmap_hint : int64;
   stdout : Buffer.t;  (** host-visible console output *)
   mutable stdout_drained : int;
-  mutable retired : int64;  (** instructions executed *)
+  mutable retired : int;  (** instructions executed *)
   mutable block_start : int64 option;  (** current basic block, for tracing *)
   mutable seccomp : int list option;
       (** seccomp-style denylist of syscall numbers; [None] = no filter.
@@ -84,6 +84,7 @@ let stack_size = 256 * 1024
 let mmap_base = 0x100_0000_0000L
 
 let is_live p = match p.state with Runnable | Blocked _ -> true | _ -> false
+let can_run p = match p.state with Runnable -> not p.frozen | _ -> false
 
 let create ~pid ~parent ~comm ~exe_path ~mem =
   let fds = Hashtbl.create 8 in
@@ -105,7 +106,7 @@ let create ~pid ~parent ~comm ~exe_path ~mem =
     mmap_hint = mmap_base;
     stdout = Buffer.create 128;
     stdout_drained = 0;
-    retired = 0L;
+    retired = 0;
     block_start = None;
     seccomp = None;
     exit_notified = false;
@@ -153,7 +154,7 @@ let fork_copy p ~pid =
     mmap_hint = p.mmap_hint;
     stdout = Buffer.create 128;
     stdout_drained = 0;
-    retired = 0L;
+    retired = 0;
     block_start = None;
     seccomp = p.seccomp;
     exit_notified = false;

@@ -56,7 +56,7 @@ type t = {
   mutable mmap_hint : int64;
   stdout : Buffer.t;
   mutable stdout_drained : int;
-  mutable retired : int64;  (** instructions executed *)
+  mutable retired : int;  (** instructions executed *)
   mutable block_start : int64 option;  (** open basic block, for tracing *)
   mutable seccomp : int list option;
       (** seccomp-style denylist of syscall numbers; [None] = no filter *)
@@ -70,6 +70,11 @@ val stack_size : int
 val mmap_base : int64
 
 val is_live : t -> bool
+
+val can_run : t -> bool
+(** Runnable and not frozen: the scheduler may retire its next
+    instruction. *)
+
 val create : pid:int -> parent:int -> comm:string -> exe_path:string -> mem:Mem.t -> t
 val alloc_fd : t -> fd_kind -> int
 

@@ -63,7 +63,7 @@ let arm (machine : Machine.t) (collector : Collector.t) ~(trigger : trigger) : t
     when using [After_insns]. *)
 let poll (t : t) ~(root : Proc.t) : unit =
   match t.trigger with
-  | After_insns budget when (not t.fired) && root.Proc.retired >= budget ->
+  | After_insns budget when (not t.fired) && Int64.of_int root.Proc.retired >= budget ->
       t.fired <- true;
       t.init_log <- Some (Collector.nudge t.collector)
   | _ -> ()

@@ -1,76 +1,209 @@
-(** Decoded-block code cache tests: replay-exactness against the
-    single-step interpreter (step/trap/syscall counters, replies, drcov
-    byte-identity), nudge-precise invalidation across all three rewrite
-    strategies, self-modifying-page eviction, post-[Fleet.recover] cache
-    coldness, slicer interpreter-fallback, and two-run determinism of
-    the observability dump with the cache enabled. *)
+(** Decoded-block code cache tests: the cache is the same machine as
+    the single-step interpreter (replies, final clock and the whole
+    observability dump minus the cache's own [bbcache.*] series, on
+    ltpd, rkv and ngx cut/re-enable; clock, rips, registers and
+    [retired] at every [Machine.run] boundary; drcov byte-identity),
+    nudge-precise invalidation across all three rewrite strategies,
+    self-modifying-page eviction, post-[Fleet.recover] cache coldness,
+    slicer interpreter-fallback, and two-run determinism of the
+    observability dump with the cache enabled. *)
 
 let get = "GET /index.html HTTP/1.0\r\n\r\n"
 
 let lpolicy = { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
 
-(* ---------- cross-mode pinning: same seed, same counters ---------- *)
+(* ---------- cross-engine pinning: one machine, two engines ---------- *)
 
-(* Boot [app], cut its undesired feature, drive a wanted/undesired mix;
-   returns the replies plus the Obs step/trap/syscall totals and the
-   final virtual clock. The cache is enabled before the first
-   instruction, so decode, init, cut, trap-handler and serving paths all
-   run cached. *)
-let drive_cut ~cached app reqs ~blocks ~policy =
+(* The JSON dump without the cache's own series. Trailing commas and
+   blank lines go too: both depend on which series sit around a line. *)
+let dump_sans_cache () =
+  let prefix = "  {\"name\":\"bbcache." in
+  Obs.dump_json ()
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && not (String.starts_with ~prefix l))
+  |> List.map (fun l ->
+         let n = String.length l in
+         if n > 0 && l.[n - 1] = ',' then String.sub l 0 (n - 1) else l)
+  |> String.concat "\n"
+
+(* Boot [app] on one engine and run [script] on it; returns the
+   script's replies, the final virtual clock and the dump. The cache is
+   enabled before the first instruction, so init, cut, trap-handler and
+   serving paths all run cached. *)
+let drive ~cached app script =
   Obs.reset ();
   Fault.reset ();
   let c = Workload.spawn app in
   let bb = if cached then Some (Bbcache.enable c.Workload.m) else None in
   Workload.wait_ready c;
+  let replies = script c in
+  let out = (replies, c.Workload.m.Machine.clock, dump_sans_cache ()) in
+  (match bb with Some b -> Bbcache.disable b | None -> ());
+  out
+
+(* Both engines must be the same machine: same replies, same clock,
+   same dump. Leaves the cached run's registry in place. *)
+let check_same_machine app script =
+  let ri, ki, di = drive ~cached:false app script in
+  let rc, kc, dc = drive ~cached:true app script in
+  Alcotest.(check (list string)) "replies identical" ri rc;
+  Alcotest.(check int64) "final clock identical" ki kc;
+  Alcotest.(check string) "dump identical minus bbcache.*" di dc
+
+let rpcs reqs c = List.map (Workload.rpc c) reqs
+
+let cut_then reqs ~blocks ~policy c =
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let (_ : Rewriter.journal list * Dynacut.timings) =
     Dynacut.cut session ~blocks ~policy
   in
-  let replies = List.map (fun r -> Workload.rpc c r) reqs in
-  let v n = Obs.counter_value (Obs.counter n) in
-  let out =
-    ( replies,
-      v "machine.steps",
-      v "machine.traps",
-      v "machine.syscalls",
-      c.Workload.m.Machine.clock )
-  in
-  (match bb with Some b -> Bbcache.disable b | None -> ());
-  out
+  rpcs reqs c
 
 let test_pinning_ltpd () =
   let reqs = Workload.web_wanted @ Workload.web_undesired @ [ get ] in
   let blocks = Common.web_feature_blocks Workload.ltpd in
-  let ri, si, ti, yi, cki = drive_cut ~cached:false Workload.ltpd reqs ~blocks ~policy:lpolicy in
-  let rc, sc, tc, yc, ckc = drive_cut ~cached:true Workload.ltpd reqs ~blocks ~policy:lpolicy in
-  Alcotest.(check (list string)) "replies identical" ri rc;
-  Alcotest.(check int) "obs steps identical" si sc;
-  Alcotest.(check int) "obs traps identical" ti tc;
-  Alcotest.(check int) "obs syscalls identical" yi yc;
-  Alcotest.(check bool) "undesired requests really trapped" true (ti > 0);
-  Alcotest.(check bool) "cached run spends fewer virtual cycles" true
-    (Int64.compare ckc cki < 0)
+  check_same_machine Workload.ltpd (cut_then reqs ~blocks ~policy:lpolicy);
+  Alcotest.(check bool) "undesired requests really trapped" true
+    (Obs.counter_value (Obs.counter "machine.traps") > 0)
 
 (* rkv pins the same invariants without a cut (pure serving path) *)
-let drive_plain ~cached app reqs =
+let test_pinning_rkv () =
+  check_same_machine Workload.rkv
+    (rpcs (Workload.kv_wanted @ Workload.kv_undesired))
+
+(* ngx master+worker through cut -> probes -> re-enable -> probes: two
+   restores from image, so both engines start cold twice mid-run *)
+let test_pinning_ngx () =
+  let blocks = Common.web_feature_blocks Workload.ngx in
+  let probes = Workload.web_wanted @ Workload.web_undesired in
+  check_same_machine Workload.ngx (fun c ->
+      let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
+      let journals, (_ : Dynacut.timings) =
+        Dynacut.cut session ~blocks
+          ~policy:
+            { Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" }
+      in
+      let cut = rpcs probes c in
+      let (_ : Dynacut.timings) = Dynacut.reenable session journals in
+      cut @ rpcs probes c);
+  Alcotest.(check bool) "undesired requests really trapped" true
+    (Obs.counter_value (Obs.counter "machine.traps") > 0)
+
+(* ---------- exact run boundaries ---------- *)
+
+let snapshot (m : Machine.t) =
+  let b = Buffer.create 512 in
+  Printf.bprintf b "clock=%Ld" m.Machine.clock;
+  List.iter
+    (fun (p : Proc.t) ->
+      let r = p.Proc.regs in
+      Printf.bprintf b "\n pid=%d %s rip=0x%Lx retired=%d flags=%d gpr=%s"
+        p.Proc.pid
+        (Proc.state_to_string p.Proc.state)
+        r.Proc.rip p.Proc.retired (Proc.pack_flags r)
+        (String.concat "," (Array.to_list (Array.map Int64.to_string r.Proc.gpr))))
+    (Machine.all_procs m);
+  Buffer.contents b
+
+(* Boot ngx by stepping [Machine.run ~max_cycles:k] over seeded [k]s
+   (1, quantum edges, and draws that mostly end mid-block) until its
+   banner, then serve a GET and a PUT the same way until each reply
+   arrives; one snapshot per return. *)
+let trajectory ~cached =
   Obs.reset ();
   Fault.reset ();
-  let c = Workload.spawn app in
-  let bb = if cached then Some (Bbcache.enable c.Workload.m) else None in
-  Workload.wait_ready c;
-  let replies = List.map (fun r -> Workload.rpc c r) reqs in
-  let v n = Obs.counter_value (Obs.counter n) in
-  let out = (replies, v "machine.steps", v "machine.syscalls") in
+  let c = Workload.spawn Workload.ngx in
+  let m = c.Workload.m in
+  let bb = if cached then Some (Bbcache.enable m) else None in
+  let rng = Random.State.make [| 2023 |] in
+  let fixed = ref [ 1; 2; 3; 255; 256; 257; 511; 513 ] in
+  let next_k () =
+    match !fixed with
+    | k :: rest ->
+        fixed := rest;
+        k
+    | [] -> 1 + Random.State.int rng 700
+  in
+  let snaps = ref [] in
+  let rec step_until pred n =
+    let r = Machine.run m ~max_cycles:(next_k ()) in
+    snaps := snapshot m :: !snaps;
+    match r with
+    | `Budget when n < 5_000 && not (pred ()) -> step_until pred (n + 1)
+    | _ -> ()
+  in
+  step_until (fun () -> Workload.banner_seen c) 0;
+  List.iter
+    (fun req ->
+      let conn = Net.connect m.Machine.net Ngx.port in
+      Net.client_send conn req;
+      step_until (fun () -> Net.client_pending conn > 0) 0)
+    [ get; Workload.http_put "/b.txt" "boundary" ];
   (match bb with Some b -> Bbcache.disable b | None -> ());
-  out
+  List.rev !snaps
 
-let test_pinning_rkv () =
-  let reqs = Workload.kv_wanted @ Workload.kv_undesired in
-  let ri, si, yi = drive_plain ~cached:false Workload.rkv reqs in
-  let rc, sc, yc = drive_plain ~cached:true Workload.rkv reqs in
-  Alcotest.(check (list string)) "replies identical" ri rc;
-  Alcotest.(check int) "obs steps identical" si sc;
-  Alcotest.(check int) "obs syscalls identical" yi yc
+let test_exact_boundaries () =
+  let si = trajectory ~cached:false and sc = trajectory ~cached:true in
+  Alcotest.(check bool) "the run crossed many boundaries" true
+    (List.length si > 100);
+  Alcotest.(check int) "same number of run returns" (List.length si)
+    (List.length sc);
+  List.iteri
+    (fun i (a, b) ->
+      if a <> b then
+        Alcotest.failf "run return %d differs:\ninterp: %s\ncached: %s" i a b)
+    (List.combine si sc)
+
+(* ---------- self-modifying code inside one block ---------- *)
+
+(* The guest copies [lea rax, +k; mov rcx, 2; store8 [rax+j], rcx;
+   mov rax, 1; ret] into an rwx page and calls it. The store rewrites
+   the immediate of the [mov rax] right after it, in the same block, so
+   single-stepping returns 2; the cache must not run the stale slot. *)
+let test_self_modifying_block () =
+  let enc = Encode.to_bytes in
+  let mov_rax v = Insn.Mov_ri (Reg.Rax, v) in
+  let imm =
+    let a = enc (mov_rax 1L) and b = enc (mov_rax 2L) in
+    let rec diff k = if Bytes.get a k <> Bytes.get b k then k else diff (k + 1) in
+    diff 0
+  in
+  let set_rcx = Insn.Mov_ri (Reg.Rcx, 2L)
+  and patch = Insn.Store8 (Reg.Rax, imm, Reg.Rcx) in
+  let skip = Bytes.length (enc set_rcx) + Bytes.length (enc patch) in
+  let code =
+    Encode.program
+      [ Insn.Lea (Reg.Rax, skip); set_rcx; patch; mov_rax 1L; Insn.Ret ]
+  in
+  let open Dsl in
+  let copy =
+    List.init (Bytes.length code) (fun k ->
+        store8 (v "a" +: i k) (i (Char.code (Bytes.get code k))))
+  in
+  let u =
+    unit_ "smc"
+      [
+        func "main" []
+          ([ decl "a" (call "mmap" [ i 0; i 4096; i 7 ]) ]
+          @ copy
+          @ [ ret (callp (v "a") []) ]);
+      ]
+  in
+  let run ~cached =
+    Fault.reset ();
+    let m = Machine.create () in
+    Vfs.add_self m.Machine.fs "libc.so" (Lazy.force Workload.libc);
+    Vfs.add_self m.Machine.fs "smc" (Crt0.link_app ~libc:(Lazy.force Workload.libc) u);
+    let bb = if cached then Some (Bbcache.enable m) else None in
+    let p = Machine.spawn m ~exe_path:"smc" () in
+    let (_ : [ `Budget | `Dead | `Idle ]) = Machine.run m ~max_cycles:100_000 in
+    (match bb with Some b -> Bbcache.disable b | None -> ());
+    (Proc.state_to_string p.Proc.state, m.Machine.clock)
+  in
+  let si, ki = run ~cached:false and sc, kc = run ~cached:true in
+  Alcotest.(check string) "interpreter runs the patched mov" "exited(2)" si;
+  Alcotest.(check string) "cache runs the patched mov" si sc;
+  Alcotest.(check int64) "same clock" ki kc
 
 (* ---------- drcov byte-identity (the tracer as cache stubs) ---------- *)
 
@@ -307,6 +440,10 @@ let suite =
       test_pinning_ltpd;
     Alcotest.test_case "pinning: rkv, cached = interpreted" `Quick
       test_pinning_rkv;
+    Alcotest.test_case "pinning: ngx cut and re-enable, cached = interpreted"
+      `Quick test_pinning_ngx;
+    Alcotest.test_case "exact run boundaries: ngx, cached = interpreted" `Quick
+      test_exact_boundaries;
     Alcotest.test_case "drcov byte-identity: ltpd" `Quick
       test_drcov_identity_ltpd;
     Alcotest.test_case "drcov byte-identity: rkv" `Quick test_drcov_identity_rkv;
@@ -316,6 +453,8 @@ let suite =
     Alcotest.test_case "roundtrip: unmap cut" `Quick test_roundtrip_unmap;
     Alcotest.test_case "self-modifying page evicts" `Quick
       test_self_modifying_eviction;
+    Alcotest.test_case "self-modifying store inside a block" `Quick
+      test_self_modifying_block;
     Alcotest.test_case "post-Fleet.recover coldness" `Quick
       test_fleet_recover_coldness;
     Alcotest.test_case "slicer forces interpreter fallback" `Quick
