@@ -96,6 +96,13 @@ else
   dune exec bench/main.exe -- --quick chaos
 fi
 
+# Exact-count determinism guard (hostperf/README.md): two runs of each
+# host-time workload at one seed, untraced and traced, must report
+# identical instruction, cycle, syscall, decode, image and allocation
+# counts.
+echo "== hostperf exact counts =="
+python3 hostperf/test_counts.py
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="
   dune build @fmt

@@ -14,7 +14,7 @@ type t = {
   b_start : int64;  (** entry vaddr *)
   b_size : int;  (** encoded size in bytes *)
   b_slots : slot array;
-  b_pages : int64 array;  (** page indexes the encoding spans (1 or 2) *)
+  b_pages : int array;  (** page indexes the encoding spans (1 or 2) *)
   mutable b_dead : bool;  (** evicted; linked predecessors must re-dispatch *)
   mutable b_s1 : t option;  (** direct-linked successors, most recent *)
   mutable b_s2 : t option;  (** first, and one victim slot *)
@@ -38,9 +38,7 @@ let decode (mem : Mem.t) (start : int64) : t option =
   let stop = ref false in
   let valid = ref true in
   while not !stop do
-    match
-      Decode.decode (fun i -> Mem.fetch8 mem (Int64.add !pos (Int64.of_int i)))
-    with
+    match Machine.fetch_decode mem !pos with
     | exception Mem.Fault (_, _) ->
         if !nslots = 0 then valid := false;
         stop := true
@@ -61,13 +59,12 @@ let decode (mem : Mem.t) (start : int64) : t option =
     let size = Int64.to_int (Int64.sub !pos start) in
     let first = Mem.page_index start in
     let last = Mem.page_index (Int64.add start (Int64.of_int (size - 1))) in
-    let npages = Int64.to_int (Int64.sub last first) + 1 in
     Some
       {
         b_start = start;
         b_size = size;
         b_slots = Array.of_list (List.rev !slots);
-        b_pages = Array.init npages (fun i -> Int64.add first (Int64.of_int i));
+        b_pages = Array.init (last - first + 1) (fun i -> first + i);
         b_dead = false;
         b_s1 = None;
         b_s2 = None;

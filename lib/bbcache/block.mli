@@ -7,7 +7,7 @@ type t = {
   b_start : int64;  (** entry vaddr *)
   b_size : int;  (** encoded size in bytes *)
   b_slots : slot array;
-  b_pages : int64 array;  (** page indexes the encoding spans *)
+  b_pages : int array;  (** page indexes the encoding spans *)
   mutable b_dead : bool;  (** evicted; linked predecessors must re-dispatch *)
   mutable b_s1 : t option;  (** direct-linked successors, most recent *)
   mutable b_s2 : t option;  (** first, and one victim slot *)

@@ -11,7 +11,7 @@
 type t = {
   c_proc : Proc.t;  (** the address space the blocks were decoded from *)
   c_blocks : (int64, Block.t) Hashtbl.t;  (** entry vaddr -> live block *)
-  c_by_page : (int64, Block.t list ref) Hashtbl.t;
+  c_by_page : Block.t list ref Mem.Itbl.t;
       (** page index -> blocks whose encoding overlaps the page *)
   mutable c_resume : (Block.t * int * int64) option;
       (** block, slot and rip where the last dispatch stopped mid-block;
@@ -22,7 +22,7 @@ let create (p : Proc.t) =
   {
     c_proc = p;
     c_blocks = Hashtbl.create 256;
-    c_by_page = Hashtbl.create 64;
+    c_by_page = Mem.Itbl.create 64;
     c_resume = None;
   }
 
@@ -35,9 +35,9 @@ let insert c (b : Block.t) =
   Hashtbl.replace c.c_blocks b.Block.b_start b;
   Array.iter
     (fun idx ->
-      match Hashtbl.find_opt c.c_by_page idx with
+      match Mem.Itbl.find_opt c.c_by_page idx with
       | Some l -> l := b :: !l
-      | None -> Hashtbl.replace c.c_by_page idx (ref [ b ]))
+      | None -> Mem.Itbl.replace c.c_by_page idx (ref [ b ]))
     b.Block.b_pages
 
 let block_count c = Hashtbl.length c.c_blocks
@@ -46,7 +46,7 @@ let block_count c = Hashtbl.length c.c_blocks
     many died. A block spanning two pages is only counted once — the
     second page's list finds it already dead. *)
 let evict_page c idx =
-  match Hashtbl.find_opt c.c_by_page idx with
+  match Mem.Itbl.find_opt c.c_by_page idx with
   | None -> 0
   | Some l ->
       let n = ref 0 in
@@ -60,7 +60,7 @@ let evict_page c idx =
             | _ -> ()
           end)
         !l;
-      Hashtbl.remove c.c_by_page idx;
+      Mem.Itbl.remove c.c_by_page idx;
       !n
 
 (** Tombstone everything; returns how many blocks died. *)
@@ -74,5 +74,5 @@ let clear c =
       end)
     c.c_blocks;
   Hashtbl.reset c.c_blocks;
-  Hashtbl.reset c.c_by_page;
+  Mem.Itbl.reset c.c_by_page;
   !n

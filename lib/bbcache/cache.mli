@@ -6,7 +6,7 @@
 type t = {
   c_proc : Proc.t;
   c_blocks : (int64, Block.t) Hashtbl.t;
-  c_by_page : (int64, Block.t list ref) Hashtbl.t;
+  c_by_page : Block.t list ref Mem.Itbl.t;
   mutable c_resume : (Block.t * int * int64) option;
       (** block, slot and rip where the last dispatch stopped mid-block *)
 }
@@ -16,7 +16,7 @@ val find : t -> int64 -> Block.t option
 val insert : t -> Block.t -> unit
 val block_count : t -> int
 
-val evict_page : t -> int64 -> int
+val evict_page : t -> int -> int
 (** Tombstone and unindex every block overlapping the page; returns how
     many died. *)
 

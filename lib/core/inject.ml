@@ -19,9 +19,6 @@
 
 exception Inject_error of string
 
-let page_size = 4096
-let page_align n = (n + page_size - 1) / page_size * page_size
-
 let default_hint = 0x7fee_0000_0000L
 
 (** Find an unused, page-aligned region of [size] bytes. [hint] seeds the
@@ -51,7 +48,7 @@ let inject (img : Images.t) ~(lib : Self.t) ?(base : int64 option)
   let base =
     match base with
     | Some b ->
-        if Int64.rem b 4096L <> 0L then raise (Inject_error "base not page-aligned");
+        if Mem.page_offset b <> 0 then raise (Inject_error "base not page-aligned");
         b
     | None -> find_gap img ~hint:default_hint ~size
   in
@@ -72,7 +69,7 @@ let inject (img : Images.t) ~(lib : Self.t) ?(base : int64 option)
       (fun (s : Self.section) ->
         {
           Images.vi_start = Int64.add base (Int64.of_int s.Self.sec_off);
-          vi_len = page_align (max 1 (Bytes.length s.Self.sec_data));
+          vi_len = Mem.align_up (max 1 (Bytes.length s.Self.sec_data));
           vi_prot = Self.prot_to_int s.Self.sec_prot;
           vi_file = None (* injected pages are anonymous *);
           vi_name = lib.Self.name ^ ":" ^ s.Self.sec_name;
@@ -97,14 +94,14 @@ let inject (img : Images.t) ~(lib : Self.t) ?(base : int64 option)
     List.map
       (fun (s : Self.section) ->
         let data = List.assoc s.Self.sec_name patched in
-        let padded_len = page_align (max 1 (Bytes.length data)) in
+        let padded_len = Mem.align_up (max 1 (Bytes.length data)) in
         let padded = Bytes.make padded_len '\x00' in
         Bytes.blit data 0 padded 0 (Bytes.length data);
         let off = pages_off + Buffer.length extra in
         Buffer.add_bytes extra padded;
         {
           Images.pm_vaddr = Int64.add base (Int64.of_int s.Self.sec_off);
-          pm_npages = padded_len / page_size;
+          pm_npages = padded_len / Mem.page_size;
           pm_off = off;
         })
       lib.Self.sections

@@ -89,9 +89,6 @@ let wipe_blocks (img : Images.t) (blocks : Covgraph.block list) : patch list =
       Bytes_patch { p_vaddr = va; p_orig = orig })
     blocks
 
-let page_size = 4096
-let page_base (a : int64) = Int64.mul (Int64.div a 4096L) 4096L
-
 (** Unmap the code pages *fully covered* by the given blocks (unmapping a
     partially-covered page would take live code with it). Removes the
     pages from pagemap/pages and splits the VMAs, recording everything
@@ -105,12 +102,12 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
     (fun b ->
       let va = block_vaddr img b in
       for k = 0 to b.Covgraph.b_size - 1 do
-        let pg = page_base (Int64.add va (Int64.of_int k)) in
+        let pg = Mem.page_base (Int64.add va (Int64.of_int k)) in
         Hashtbl.replace coverage pg (1 + Option.value ~default:0 (Hashtbl.find_opt coverage pg))
       done)
     blocks;
   let victim_pages =
-    Hashtbl.fold (fun pg n acc -> if n = page_size then pg :: acc else acc) coverage []
+    Hashtbl.fold (fun pg n acc -> if n = Mem.page_size then pg :: acc else acc) coverage []
     |> List.sort compare
   in
   if victim_pages = [] then ([], img)
@@ -122,21 +119,21 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
           match Images.find_vma img pg with
           | None -> None
           | Some vma ->
-              let data = try Images.read_mem img pg page_size with Not_found -> Bytes.create 0 in
+              let data = try Images.read_mem img pg Mem.page_size with Not_found -> Bytes.create 0 in
               Some (Unmap_patch { u_vma = vma; u_pages = [ (pg, data) ] }))
         victim_pages
     in
     (* rebuild mm: split VMAs around each victim page *)
-    let in_victims a = List.mem (page_base a) victim_pages in
+    let in_victims a = List.mem (Mem.page_base a) victim_pages in
     let mm =
       List.concat_map
         (fun (v : Images.vma_img) ->
-          let npages = v.Images.vi_len / page_size in
+          let npages = v.Images.vi_len / Mem.page_size in
           (* group consecutive surviving pages into VMA fragments *)
           let frags = ref [] in
           let cur = ref None in
           for k = 0 to npages - 1 do
-            let pa = Int64.add v.Images.vi_start (Int64.of_int (k * page_size)) in
+            let pa = Int64.add v.Images.vi_start (Int64.of_int (k * Mem.page_size)) in
             if in_victims pa then begin
               (match !cur with Some (s, n) -> frags := (s, n) :: !frags | None -> ());
               cur := None
@@ -153,7 +150,7 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
               {
                 v with
                 Images.vi_start = s;
-                vi_len = n * page_size;
+                vi_len = n * Mem.page_size;
                 vi_file =
                   (match v.Images.vi_file with
                   | Some (f, off) -> Some (f, off + delta)
@@ -170,7 +167,7 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
       match !cur_start with
       | Some s ->
           pagemap :=
-            { Images.pm_vaddr = s; pm_npages = !cur_n; pm_off = Buffer.length buf - (!cur_n * page_size) }
+            { Images.pm_vaddr = s; pm_npages = !cur_n; pm_off = Buffer.length buf - (!cur_n * Mem.page_size) }
             :: !pagemap;
           cur_start := None;
           cur_n := 0
@@ -179,7 +176,7 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
     List.iter
       (fun (pm : Images.pagemap_entry) ->
         for k = 0 to pm.Images.pm_npages - 1 do
-          let pa = Int64.add pm.Images.pm_vaddr (Int64.of_int (k * page_size)) in
+          let pa = Int64.add pm.Images.pm_vaddr (Int64.of_int (k * Mem.page_size)) in
           if in_victims pa then flush ()
           else begin
             (match !cur_start with
@@ -187,7 +184,7 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
                 cur_start := Some pa;
                 cur_n := 1
             | Some _ -> incr cur_n);
-            Buffer.add_subbytes buf img.Images.pages (pm.Images.pm_off + (k * page_size)) page_size
+            Buffer.add_subbytes buf img.Images.pages (pm.Images.pm_off + (k * Mem.page_size)) Mem.page_size
           end
         done;
         flush ())
@@ -238,12 +235,12 @@ let remap (img : Images.t) (patches : patch list) : Images.t =
             List.filter_map
               (fun (va, data) ->
                 (* pages that were unmapped while undumped come back unpopulated *)
-                if Bytes.length data < page_size then None
+                if Bytes.length data < Mem.page_size then None
                 else begin
                   let off = pages_off + Buffer.length extra in
                   Buffer.add_bytes extra data;
                   Some
-                    { Images.pm_vaddr = va; pm_npages = Bytes.length data / page_size; pm_off = off }
+                    { Images.pm_vaddr = va; pm_npages = Bytes.length data / Mem.page_size; pm_off = off }
                 end)
               u_pages
           in

@@ -67,7 +67,7 @@ type t = {
   mmap_hint : int64;
 }
 
-let page_size = 4096
+let page_size = Mem.page_size
 
 (** Total bytes across all images — the "image size" Figure 7 reports. *)
 let image_size (t : t) =

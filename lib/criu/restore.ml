@@ -37,7 +37,7 @@ let file_bytes (m : Machine.t) ~path ~off ~len : bytes =
     page, straight from the sealed checkpoint image. *)
 let image_page_bytes (m : Machine.t) (img : Images.t) ~(vaddr : int64) :
     bytes option =
-  let vaddr = Int64.mul (Int64.div vaddr (Int64.of_int page_size)) (Int64.of_int page_size) in
+  let vaddr = Mem.page_base vaddr in
   match Images.read_mem img vaddr page_size with
   | b -> Some b
   | exception Not_found -> (
@@ -71,9 +71,8 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
   (* dumped pages *)
   List.iter
     (fun (pm : Images.pagemap_entry) ->
-      let len = pm.Images.pm_npages * page_size in
-      let data = Bytes.sub img.Images.pages pm.Images.pm_off len in
-      Mem.poke_bytes mem pm.Images.pm_vaddr data)
+      Mem.poke_blit mem pm.Images.pm_vaddr img.Images.pages ~off:pm.Images.pm_off
+        ~len:(pm.Images.pm_npages * page_size))
     img.Images.pagemap;
   (* vanilla-CRIU gaps: file-backed VMAs with no dumped pages are faulted
      in from the binary *)

@@ -128,6 +128,9 @@ let length = function
   | Load _ | Store _ | Load8 _ | Store8 _ -> 7
   | Mov_ri _ -> 10
 
+(** The longest encoding, in bytes. *)
+let max_length = 10
+
 (** Does this instruction end a basic block? Mirrors drcov's notion: any
     control transfer terminates the current block. *)
 let is_block_end = function

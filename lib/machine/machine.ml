@@ -664,13 +664,16 @@ let exec_decoded t (p : Proc.t) insn len =
         | Sigret -> ())
   with Mem.Fault (_, _) -> deliver_signal t p ~signum:Abi.sigsegv ~at:rip
 
+let fetch_decode mem rip =
+  let off = Mem.page_offset rip in
+  if off <= Mem.page_size - Insn.max_length then
+    Decode.decode_at (Mem.fetch_page mem rip) off
+  else Decode.decode (fun i -> Mem.fetch8 mem (Int64.add rip (Int64.of_int i)))
+
 (** Execute exactly one instruction of [p]; assumes [p] runnable. *)
 let step_insn t (p : Proc.t) =
   let rip = p.Proc.regs.Proc.rip in
-  let mem = p.Proc.mem in
-  match
-    Decode.decode (fun i -> Mem.fetch8 mem (Int64.add rip (Int64.of_int i)))
-  with
+  match fetch_decode p.Proc.mem rip with
   | exception Mem.Fault _ ->
       deliver_signal t p ~signum:Abi.sigsegv ~at:rip
   | exception Decode.Invalid_opcode _ ->

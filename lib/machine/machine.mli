@@ -96,6 +96,14 @@ exception Seccomp_denied
 val step : t -> Proc.t -> unit
 (** Execute exactly one instruction (assumes the process is runnable). *)
 
+val fetch_decode : Mem.t -> int64 -> Insn.t * int
+(** Decode the instruction at the address, as both engines fetch it.
+    When the longest encoding fits in the address's page, one
+    exec-checked page lookup serves every byte; otherwise the bytes are
+    fetched one at a time, so an instruction that runs into an unmapped
+    or non-executable page faults exactly as a byte-wise fetch does.
+    Raises {!Mem.Fault} or {!Decode.Invalid_opcode}. *)
+
 val exec_decoded : t -> Proc.t -> Insn.t -> int -> unit
 (** Execute one already-decoded instruction (anything but [Int3], which
     never enters the code cache) of byte length [len]; assumes the

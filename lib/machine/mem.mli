@@ -1,6 +1,19 @@
 (** Per-process virtual memory: sparse 4 KiB page table + VMA list.
-    Pages carry protections (the hot path is one hash lookup); VMAs carry
-    the metadata CRIU's [mm] image records and DynaCut edits. *)
+    Pages carry protections; VMAs carry the metadata CRIU's [mm] image
+    records and DynaCut edits.
+
+    Every access finds its page through a 16-entry direct-mapped software
+    TLB in front of an [int]-keyed page table. The TLB caches page
+    records, not permissions or bytes: [map] and [unmap] flush it,
+    [create] and [copy] start it empty, and [protect] leaves it valid
+    because it edits the cached records in place and every access
+    re-checks the protection.
+
+    Bulk copies move a page chunk at a time but keep the byte-at-a-time
+    contract: pages are checked in address order before any of their bytes
+    move, so a fault names the first byte of the first bad page and the
+    prefix before it is already written; each written byte bumps its
+    page's [pg_gen] by one. *)
 
 type access = Read | Write | Exec
 
@@ -28,20 +41,33 @@ type page = {
           scrubber uses to skip provably-unchanged pages cheaply *)
 }
 
-type t = {
-  pages : (int64, page) Hashtbl.t;
+(** Tables keyed by page index. *)
+module Itbl : Hashtbl.S with type key = int
+
+type t = private {
+  pages : page Itbl.t;
   mutable vmas : vma list;
-  exec_dirty : (int64, unit) Hashtbl.t;
+  exec_dirty : unit Itbl.t;
       (** page indexes of executable pages modified since the last
           {!take_exec_dirty} — the precise invalidation signal for the
           decoded-block code cache *)
+  tlb_idx : int array;  (** TLB slot -> cached page index, -1 when empty *)
+  tlb_page : page array;  (** TLB slot -> that index's page record *)
 }
 
 val page_size : int
 val page_size64 : int64
-val page_index : int64 -> int64
+
+val page_index : int64 -> int
+(** [addr lsr 12]: non-negative for every address, so no two pages
+    alias. *)
+
 val page_base : int64 -> int64
 val page_offset : int64 -> int
+
+val page_addr : int -> int64
+(** First address of a page index. *)
+
 val align_up : int -> int
 
 val create : unit -> t
@@ -71,6 +97,11 @@ val read8 : t -> int64 -> int
 val fetch8 : t -> int64 -> int
 (** Instruction fetch: requires execute permission. *)
 
+val fetch_page : t -> int64 -> bytes
+(** The bytes of the page containing the address, checked for execute
+    permission like {!fetch8} — one lookup for a whole instruction that
+    lies inside the page. The buffer is the page itself: read only. *)
+
 val write8 : t -> int64 -> int -> unit
 val read64 : t -> int64 -> int64
 val write64 : t -> int64 -> int64 -> unit
@@ -85,6 +116,12 @@ val read_cstring : t -> int64 -> string
 val poke8 : t -> int64 -> int -> unit
 val peek8 : t -> int64 -> int
 val poke_bytes : t -> int64 -> bytes -> unit
+
+val poke_blit : t -> int64 -> bytes -> off:int -> len:int -> unit
+(** [poke_bytes] of [len] bytes of the source taken at [off], without
+    copying them out first. Raises [Invalid_argument] before writing
+    anything when the range is not inside the source. *)
+
 val peek_bytes : t -> int64 -> int -> bytes
 
 (** {2 Whole-space operations} *)
@@ -125,5 +162,5 @@ val exec_dirty_pending : t -> bool
 (** Whether any executable page was modified since the last drain. O(1);
     the cache dispatcher polls this at every block boundary. *)
 
-val take_exec_dirty : t -> int64 list
+val take_exec_dirty : t -> int list
 (** Dirtied executable page indexes since the last call; clears the set. *)

@@ -397,6 +397,80 @@ let test_mem_copy_independent () =
   Mem.write64 mem 0x1000L 2L;
   Alcotest.(check int64) "copy unchanged" 1L (Mem.read64 c 0x1000L)
 
+(* The last page of the address space is not page 0: with page 0
+   mapped, accesses at the top of the space must fault, not index page 0
+   at a negative offset. *)
+let test_mem_top_page_faults () =
+  let mem = Mem.create () in
+  let rwx = { Self.p_r = true; p_w = true; p_x = true } in
+  let (_ : Mem.vma) = Mem.map mem ~vaddr:0L ~len:4096 ~prot:rwx ~name:"zero" () in
+  let faults name addr access f =
+    Alcotest.check_raises name (Mem.Fault (addr, access)) (fun () -> ignore (f ()))
+  in
+  faults "read8" (-1L) Mem.Read (fun () -> Mem.read8 mem (-1L));
+  faults "read64" (-8L) Mem.Read (fun () -> Mem.read64 mem (-8L));
+  faults "write8" (-1L) Mem.Write (fun () -> Mem.write8 mem (-1L) 1);
+  faults "write64" (-8L) Mem.Write (fun () -> Mem.write64 mem (-8L) 1L);
+  faults "fetch8" (-1L) Mem.Exec (fun () -> Mem.fetch8 mem (-1L));
+  faults "fetch_decode" (-16L) Mem.Exec (fun () -> Machine.fetch_decode mem (-16L));
+  faults "read_bytes" (-16L) Mem.Read (fun () -> Mem.read_bytes mem (-16L) 8);
+  faults "peek_bytes" (-16L) Mem.Read (fun () -> Mem.peek_bytes mem (-16L) 8);
+  faults "write_bytes" (-16L) Mem.Write (fun () ->
+      Mem.write_bytes mem (-16L) (Bytes.make 8 'x'));
+  faults "poke_bytes" (-16L) Mem.Write (fun () ->
+      Mem.poke_bytes mem (-16L) (Bytes.make 8 'x'));
+  Alcotest.(check (option int)) "page 0 never written" (Some 0) (Mem.page_gen mem 0L);
+  Alcotest.(check int) "page 0 reads zero" 0 (Mem.read8 mem 0L)
+
+let test_mem_remap_reads_zeros () =
+  let mem = Mem.create () in
+  let map () =
+    ignore (Mem.map mem ~vaddr:0x5000L ~len:4096 ~prot:Self.prot_rw ~name:"t" ())
+  in
+  map ();
+  Mem.write64 mem 0x5010L 0x1122334455667788L;
+  Alcotest.(check int64) "written" 0x1122334455667788L (Mem.read64 mem 0x5010L);
+  Mem.unmap mem ~vaddr:0x5000L ~len:4096;
+  Alcotest.check_raises "unmapped" (Mem.Fault (0x5010L, Mem.Read)) (fun () ->
+      ignore (Mem.read64 mem 0x5010L));
+  map ();
+  Alcotest.(check int64) "fresh page" 0L (Mem.read64 mem 0x5010L);
+  Alcotest.(check string) "fresh bytes" (String.make 16 '\x00')
+    (Bytes.to_string (Mem.read_bytes mem 0x5008L 16))
+
+let test_mem_protect_warm_entry () =
+  let mem = Mem.create () in
+  let (_ : Mem.vma) =
+    Mem.map mem ~vaddr:0x7000L ~len:4096 ~prot:Self.prot_rw ~name:"t" ()
+  in
+  Mem.write8 mem 0x7000L 1;
+  Mem.protect mem ~vaddr:0x7000L ~len:4096 ~prot:Self.prot_ro;
+  Alcotest.check_raises "write8 after protect" (Mem.Fault (0x7001L, Mem.Write)) (fun () ->
+      Mem.write8 mem 0x7001L 2);
+  Alcotest.check_raises "write_bytes after protect" (Mem.Fault (0x7002L, Mem.Write))
+    (fun () -> Mem.write_bytes mem 0x7002L (Bytes.make 4 'x'));
+  Alcotest.(check int) "still readable" 1 (Mem.read8 mem 0x7000L);
+  Mem.protect mem ~vaddr:0x7000L ~len:4096 ~prot:Self.prot_rw;
+  Mem.write8 mem 0x7001L 2;
+  Alcotest.(check int) "writable again" 2 (Mem.read8 mem 0x7001L)
+
+let test_mem_fork_isolated () =
+  let mem = Mem.create () in
+  let (_ : Mem.vma) =
+    Mem.map mem ~vaddr:0x9000L ~len:4096 ~prot:Self.prot_rw ~name:"t" ()
+  in
+  Mem.write64 mem 0x9000L 1L;
+  let parent = Proc.create ~pid:1 ~parent:0 ~comm:"p" ~exe_path:"p" ~mem in
+  let child = Proc.fork_copy parent ~pid:2 in
+  let pm = parent.Proc.mem and cm = child.Proc.mem in
+  (* both TLBs warm on the same page index *)
+  Alcotest.(check int64) "child sees fork-time value" 1L (Mem.read64 cm 0x9000L);
+  Mem.write64 cm 0x9000L 2L;
+  Alcotest.(check int64) "child store stays in child" 1L (Mem.read64 pm 0x9000L);
+  Mem.write64 pm 0x9008L 3L;
+  Alcotest.(check int64) "parent store stays in parent" 0L (Mem.read64 cm 0x9008L);
+  Alcotest.(check int64) "child keeps its own store" 2L (Mem.read64 cm 0x9000L)
+
 let prop_mem_rw_roundtrip =
   QCheck.Test.make ~name:"mem 64-bit write/read roundtrip" ~count:300
     QCheck.(pair (int_range 0 4088) (map Int64.of_int int))
@@ -431,4 +505,8 @@ let suite =
     Alcotest.test_case "mem mprotect partial" `Quick test_mem_mprotect_partial;
     Alcotest.test_case "mem copy independent" `Quick test_mem_copy_independent;
     QCheck_alcotest.to_alcotest prop_mem_rw_roundtrip;
+    Alcotest.test_case "mem top page is not page 0" `Quick test_mem_top_page_faults;
+    Alcotest.test_case "mem remap reads zeros" `Quick test_mem_remap_reads_zeros;
+    Alcotest.test_case "mem protect with a warm TLB" `Quick test_mem_protect_warm_entry;
+    Alcotest.test_case "mem fork stores isolated" `Quick test_mem_fork_isolated;
   ]
